@@ -1,10 +1,9 @@
 """Legacy setup shim.
 
-The execution environment has no network access and no ``wheel`` package,
-so PEP 517/660 editable installs (which build a wheel) fail.  This shim
-lets ``python setup.py develop`` / ``pip install -e . --no-build-isolation``
-fall back to the classic egg-link editable install.  All real metadata
-lives in ``pyproject.toml``.
+All metadata lives in ``pyproject.toml``.  This file only keeps the
+classic ``python setup.py develop`` egg-link install working on hosts
+without the ``wheel`` package, where PEP 517/660 builds (which build a
+wheel) fail.
 """
 
 from setuptools import setup

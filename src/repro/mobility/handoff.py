@@ -8,7 +8,7 @@ experiments.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.mobility.cells import Cell, CellGrid
 from repro.mobility.models import MobilityModel
@@ -49,15 +49,6 @@ class HandoffDriver:
         self.handoffs_driven = 0
         #: (time, mh, old_ap, new_ap) log of driven handoffs.
         self.log: List[Tuple[float, NodeId, NodeId, NodeId]] = []
-        #: Optional hook called as ``migration_hook(mh, old_ap, new_ap)``
-        #: on every driven handoff.  The sharded runtime installs one to
-        #: detect MHs whose new AP lives on a different shard: ownership
-        #: stays pinned (correctness never depends on placement — the
-        #: conservative window covers cross-shard wireless links), but
-        #: the migration is counted, exchanged at the next window
-        #: boundary, and reported as a rebalancing hint.
-        self.migration_hook: Optional[
-            Callable[[NodeId, NodeId, NodeId], None]] = None
 
     # ------------------------------------------------------------------
     def track(self, mh_id: NodeId, start_ap: NodeId) -> None:
@@ -104,6 +95,4 @@ class HandoffDriver:
                 self.facade.handoff(mh_id, new_ap)
                 self.handoffs_driven += 1
                 self.log.append((self.sim.now, mh_id, old_ap, new_ap))
-                if self.migration_hook is not None:
-                    self.migration_hook(mh_id, old_ap, new_ap)
         self._schedule(mh_id)

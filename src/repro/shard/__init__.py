@@ -1,17 +1,14 @@
 """repro.shard — space-parallel simulation with deterministic sync.
 
-Partitions a built RingNet topology into K shards (a pluggable
-:class:`~repro.shard.partition.Partitioner` over BR-subtree units,
-each MH riding with its initial AP), runs one event loop per worker
-process, and synchronizes conservatively behind per-shard grants
-derived from the cut-latency matrix ``L[j][i]`` — shard *i* only waits
-on links that can actually reach it.  A pluggable
-:class:`~repro.shard.partition.Rebalancer` may move MH ownership
-between shards mid-run at replicated barriers with explicit state
-handoff (:mod:`repro.shard.migrate`).  The merge order ``(time, causal
-key, emission index)`` makes a K-shard run produce **byte-identical**
-canonical traces to the sequential engine — with rebalancing on;
-``shards=1`` is the exact sequential engine path.
+Partitions a built RingNet topology into K shards (BR-subtree units,
+split one ring level down when the coarse plan is lopsided; each MH
+rides with its initial AP and keeps that shard for the whole run), runs
+one event loop per worker process, and synchronizes conservatively
+behind per-shard grants derived from the cut-latency matrix
+``L[j][i]`` — shard *i* only waits on links that can actually reach
+it.  The merge order ``(time, causal key, emission index)`` makes a
+K-shard run produce **byte-identical** canonical traces to the
+sequential engine; ``shards=1`` is the exact sequential engine path.
 
 Public API::
 
@@ -22,10 +19,7 @@ Public API::
     assert result.merged_lines == sequential_lines
 """
 
-from repro.shard.partition import (LoadAwareRebalancer, MoveProposal,
-                                   PartitionError, Partitioner,
-                                   PartitionPlan, Rebalancer, cut_edges,
-                                   get_partitioner, get_rebalancer,
+from repro.shard.partition import (PartitionError, PartitionPlan, cut_edges,
                                    latency_matrix, lookahead_of,
                                    min_lookahead, partition_hierarchy,
                                    partition_spec)
@@ -33,17 +27,11 @@ from repro.shard.record import KeyedRecorder, merge_streams
 from repro.shard.runtime import ShardRunResult, record_sharded, run_sharded
 
 __all__ = [
-    "LoadAwareRebalancer",
-    "MoveProposal",
     "PartitionError",
     "PartitionPlan",
-    "Partitioner",
-    "Rebalancer",
     "KeyedRecorder",
     "ShardRunResult",
     "cut_edges",
-    "get_partitioner",
-    "get_rebalancer",
     "latency_matrix",
     "lookahead_of",
     "merge_streams",

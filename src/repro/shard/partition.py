@@ -1,4 +1,4 @@
-"""Topology partitioners and ownership rebalancers for sharded runs.
+"""Topology partitioning for sharded runs.
 
 The partition unit is a **subtree** of the RingNet hierarchy — the
 paper's self-similarity ("if we consider each logical ring as one node,
@@ -8,34 +8,24 @@ reservations) shard-local, while cross-shard traffic rides provisioned
 fabric links with positive latency — exactly what gives the
 conservative runtime its lookahead.
 
-Two partitioners implement the :class:`Partitioner` interface:
+:func:`partition_spec` starts from a greedy LPT over whole BR subtrees
+(heaviest first onto the lightest shard; :func:`partition_hierarchy`
+returns that coarse plan on its own).  When the coarse plan's load
+imbalance exceeds :data:`MAX_IMBALANCE` (or shards would sit empty),
+every BR subtree is split one ring level down into the BR core plus
+one unit per child-ring member, and LPT re-runs over the finer units.
+On the symmetric topologies this turns a 2.0x max/min event split into
+~1.0x without giving up co-location of any subtree's traffic.
 
-* :class:`LPTPartitioner` — the original greedy LPT over whole BR
-  subtrees (heaviest first onto the lightest shard).
-* :class:`BalancedPartitioner` (default) — starts from BR subtrees and,
-  when the resulting load imbalance exceeds a threshold (or shards
-  would sit empty), splits every BR subtree one ring level down into
-  the BR core plus one unit per child-ring member, then re-runs LPT.
-  On the symmetric topologies this turns a 2.0x max/min event split
-  into ~1.0x without giving up co-location of any subtree's traffic.
-
-Ownership is not static either: a :class:`Rebalancer` proposes MH
-ownership *moves* at window boundaries, consumed by the runtime as
-replicated control-plane decisions with explicit state handoff.  The
-built-in :class:`LoadAwareRebalancer` chases MH→AP co-location (an MH
-that handed off to an AP on another shard should follow it) while
-refusing moves that would pile more load onto an already-hot shard.
-
-Both partitioners and rebalancers are deterministic: every worker and
-the coordinator derive identical plans and identical move lists from
-identical inputs.
+Each MH rides with its initial AP and keeps that shard for the whole
+run.  Planning is deterministic: every worker and the coordinator
+derive identical plans from identical inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (AbstractSet, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.address import NodeId
 from repro.topology.hierarchy import Hierarchy
@@ -255,108 +245,16 @@ def _lpt_assign(units: Sequence[_Unit], n_shards: int) -> PartitionPlan:
     )
 
 
-# ----------------------------------------------------------------------
-# Partitioner interface
-# ----------------------------------------------------------------------
-class Partitioner:
-    """Strategy interface: hierarchy + attachments → :class:`PartitionPlan`.
-
-    Implementations must be deterministic — every worker derives the
-    plan independently and the traces must stay byte-identical at every
-    shard count, so any total, co-located assignment is correct and the
-    choice is purely a load/locality tradeoff.
-    """
-
-    name: str = "base"
-
-    def partition(
-        self,
-        h: Hierarchy,
-        n_shards: int,
-        attachments: Optional[Mapping[NodeId, NodeId]] = None,
-    ) -> PartitionPlan:
-        raise NotImplementedError
-
-    def _check(self, h: Hierarchy, n_shards: int) -> None:
-        if n_shards < 1:
-            raise PartitionError(f"n_shards must be >= 1, got {n_shards}")
-        if h.top_ring_id is None:
-            raise PartitionError("hierarchy has no top ring to partition")
+#: Max/min shard weight a coarse plan may reach before the BR subtrees
+#: are split one ring level down.
+MAX_IMBALANCE = 1.25
 
 
-class LPTPartitioner(Partitioner):
-    """Greedy LPT over whole BR subtrees (the original strategy)."""
-
-    name = "lpt"
-
-    def partition(self, h, n_shards, attachments=None):
-        self._check(h, n_shards)
-        units = _br_units(h, dict(attachments or {}))
-        return _lpt_assign(units, n_shards)
-
-
-class BalancedPartitioner(Partitioner):
-    """LPT that splits BR subtrees when the coarse plan is lopsided.
-
-    A BR-granular plan is kept when its max/min shard weight stays
-    within ``max_imbalance`` — it has the best locality (no tree link
-    is ever cut).  When it exceeds the threshold, or leaves shards
-    empty, every BR unit is split one ring level down (BR core + one
-    unit per child-ring member) and LPT re-runs over the finer units.
-    New cut edges are provisioned WIRED tree/ring links with positive
-    latency, so the lookahead bound survives.
-    """
-
-    name = "balanced"
-
-    def __init__(self, max_imbalance: float = 1.25):
-        if max_imbalance < 1.0:
-            raise PartitionError(
-                f"max_imbalance must be >= 1.0, got {max_imbalance}")
-        self.max_imbalance = max_imbalance
-
-    def partition(self, h, n_shards, attachments=None):
-        self._check(h, n_shards)
-        attachments = dict(attachments or {})
-        units = _br_units(h, attachments)
-        coarse = _lpt_assign(units, n_shards)
-        if n_shards == 1 or self._balanced(coarse.weights):
-            return coarse
-        fine_units: List[_Unit] = []
-        for unit in units:
-            fine_units.extend(_split_unit(h, unit, attachments))
-        return _lpt_assign(fine_units, n_shards)
-
-    def _balanced(self, weights: Sequence[int]) -> bool:
-        lo, hi = min(weights), max(weights)
-        if lo <= 0:
-            return False
-        return hi <= self.max_imbalance * lo
-
-
-#: Registry of partitioner strategies for CLI/config lookup.
-PARTITIONERS: Dict[str, type] = {
-    LPTPartitioner.name: LPTPartitioner,
-    BalancedPartitioner.name: BalancedPartitioner,
-}
-
-DEFAULT_PARTITIONER = BalancedPartitioner.name
-
-
-def get_partitioner(
-    which: Union[None, str, Partitioner] = None,
-) -> Partitioner:
-    """Resolve a partitioner name (or pass an instance through)."""
-    if which is None:
-        which = DEFAULT_PARTITIONER
-    if isinstance(which, Partitioner):
-        return which
-    cls = PARTITIONERS.get(which)
-    if cls is None:
-        raise PartitionError(
-            f"unknown partitioner {which!r} "
-            f"(have: {sorted(PARTITIONERS)})")
-    return cls()
+def _check(h: Hierarchy, n_shards: int) -> None:
+    if n_shards < 1:
+        raise PartitionError(f"n_shards must be >= 1, got {n_shards}")
+    if h.top_ring_id is None:
+        raise PartitionError("hierarchy has no top ring to partition")
 
 
 def partition_hierarchy(
@@ -366,23 +264,46 @@ def partition_hierarchy(
 ) -> PartitionPlan:
     """Partition a hierarchy into ``n_shards`` BR-subtree groups.
 
-    The original LPT entry point, kept for callers that want the
-    coarse BR-granular plan; :func:`partition_spec` routes through the
-    pluggable :class:`Partitioner` registry instead.
+    The coarse plan: greedy LPT over whole BR subtrees, so no tree link
+    is ever cut.  :func:`partition_spec` starts from it and splits
+    subtrees when it is lopsided.
 
     ``attachments`` maps each initial MH to its AP; every MH is placed
     on its AP's shard (the co-location invariant the partition tests
     pin).  MHs present in the hierarchy but absent from ``attachments``
     are rejected — an unplaced MH would make ownership ambiguous.
     """
-    return LPTPartitioner().partition(h, n_shards, attachments)
+    _check(h, n_shards)
+    return _lpt_assign(_br_units(h, dict(attachments or {})), n_shards)
 
 
-def partition_spec(
-    spec,
+def _balanced_plan(
+    h: Hierarchy,
     n_shards: int,
-    partitioner: Union[None, str, Partitioner] = None,
+    attachments: Mapping[NodeId, NodeId],
 ) -> PartitionPlan:
+    """The coarse plan, re-cut one ring level down when it is lopsided.
+
+    A BR-granular plan is kept when its max/min shard weight stays
+    within :data:`MAX_IMBALANCE` — it has the best locality.  Otherwise,
+    or when it leaves shards empty, every BR unit is split (BR core +
+    one unit per child-ring member) and LPT re-runs over the finer
+    units.  New cut edges are provisioned WIRED tree/ring links with
+    positive latency, so the lookahead bound survives.
+    """
+    _check(h, n_shards)
+    units = _br_units(h, attachments)
+    coarse = _lpt_assign(units, n_shards)
+    lo, hi = min(coarse.weights), max(coarse.weights)
+    if n_shards == 1 or (lo > 0 and hi <= MAX_IMBALANCE * lo):
+        return coarse
+    fine_units: List[_Unit] = []
+    for unit in units:
+        fine_units.extend(_split_unit(h, unit, attachments))
+    return _lpt_assign(fine_units, n_shards)
+
+
+def partition_spec(spec, n_shards: int) -> PartitionPlan:
     """Build the topology a spec describes and partition it.
 
     Only the full RingNet system is shardable — the baselines have no
@@ -410,7 +331,7 @@ def partition_spec(
                            mhs_per_ap=shape.mhs_per_ap)
         h = build_hierarchy(hs)
         attach = initial_attachments(hs)
-    return get_partitioner(partitioner).partition(h, n_shards, attach)
+    return _balanced_plan(h, n_shards, attach)
 
 
 # ----------------------------------------------------------------------
@@ -512,107 +433,3 @@ def min_lookahead(matrix: Sequence[Sequence[float]]) -> float:
             if i != j and lat < best:
                 best = lat
     return best
-
-
-# ----------------------------------------------------------------------
-# Rebalancers: ownership moves at window boundaries
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class MoveProposal:
-    """One proposed ownership move, applied at a rebalance barrier."""
-
-    mh: NodeId
-    from_shard: int
-    to_shard: int
-
-
-class Rebalancer:
-    """Strategy interface: observed load + handoff hints → moves.
-
-    ``propose`` must be a pure, deterministic function of its inputs —
-    the coordinator calls it once per decision point and replicates the
-    result to every worker, and reproducibility of a run's rebalance
-    log depends on it.  Implementations may only move MHs (NEs anchor
-    the partition's tree locality), and proposals must respect MH→AP
-    co-location: an MH may move only to the shard owning its current
-    AP.
-    """
-
-    name: str = "base"
-
-    #: Minimum virtual time between decision points (ms).
-    min_interval: float = 250.0
-
-    def propose(
-        self,
-        pending: Mapping[NodeId, Tuple[int, int]],
-        shard_events: Sequence[int],
-    ) -> List[MoveProposal]:
-        """Decide moves.
-
-        ``pending`` maps each displaced MH to ``(owner_shard,
-        ap_shard)`` — the co-location deficits accumulated from the
-        owning shards' migration notes.  ``shard_events`` is the
-        cumulative per-shard event count (the observed load signal).
-        """
-        raise NotImplementedError
-
-
-class LoadAwareRebalancer(Rebalancer):
-    """Chase MH→AP co-location, unless the target shard is hot.
-
-    Every displaced MH (owned on one shard, attached to an AP on
-    another) is proposed to follow its AP — that re-localizes its
-    wireless traffic — except when the target shard's share of
-    processed events exceeds ``overload_factor`` × the mean while the
-    current owner is no busier: then the MH stays put and its traffic
-    keeps flowing over the cut, which is cheaper than feeding a hot
-    shard more work.  Proposals iterate MHs in sorted order, so the
-    move list is deterministic.
-    """
-
-    name = "load-aware"
-
-    def __init__(self, min_interval: float = 250.0,
-                 overload_factor: float = 1.5):
-        self.min_interval = min_interval
-        self.overload_factor = overload_factor
-
-    def propose(self, pending, shard_events):
-        moves: List[MoveProposal] = []
-        n = len(shard_events)
-        mean = (sum(shard_events) / n) if n else 0.0
-        for mh in sorted(pending):
-            frm, to = pending[mh]
-            if frm == to:
-                continue
-            if (mean > 0
-                    and shard_events[to] > self.overload_factor * mean
-                    and shard_events[to] >= shard_events[frm]):
-                continue
-            moves.append(MoveProposal(mh, frm, to))
-        return moves
-
-
-#: Registry of rebalancer strategies ("none" disables rebalancing).
-REBALANCERS: Dict[str, Optional[type]] = {
-    LoadAwareRebalancer.name: LoadAwareRebalancer,
-    "none": None,
-}
-
-DEFAULT_REBALANCER = LoadAwareRebalancer.name
-
-
-def get_rebalancer(
-    which: Union[None, str, Rebalancer] = None,
-) -> Optional[Rebalancer]:
-    """Resolve a rebalancer name; ``"none"`` → None (disabled)."""
-    if which is None:
-        which = DEFAULT_REBALANCER
-    if isinstance(which, Rebalancer):
-        return which
-    if which not in REBALANCERS:
-        raise PartitionError(
-            f"unknown rebalancer {which!r} (have: {sorted(REBALANCERS)})")
-    cls = REBALANCERS[which]
-    return None if cls is None else cls()

@@ -31,13 +31,10 @@ Execution model (bulk-synchronous conservative PDES):
   probe's ``(time, key)``, the coordinator merges the per-shard
   gathers, and the event then executes replicated with identical
   inputs.
-* A :class:`~repro.shard.partition.Rebalancer` may propose MH
-  ownership moves.  The coordinator announces ``(T_rb, moves)`` at a
-  moment every shard has yet to reach, all shards park exactly at
-  ``T_rb``, the old owners ship the MHs' migratable state
-  (:mod:`repro.shard.migrate`), every shard flips its ownership map,
-  and the new owners restore — the move is invisible to the merged
-  trace.
+* Ownership is fixed for the whole run: an MH that hands off to an AP
+  on another shard stays with its initial shard, and its wireless
+  traffic crosses the cut like any other export (the latency matrix's
+  wireless floor bounds it).
 
 ``shards=1`` bypasses all of this and runs the plain sequential engine
 — the exact code path every non-sharded caller uses — so non-sharded
@@ -50,13 +47,11 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.spec import ExperimentSpec
-from repro.shard import migrate
 from repro.shard.context import ShardContext
-from repro.shard.partition import (PartitionPlan, Partitioner, Rebalancer,
-                                   get_rebalancer, latency_matrix,
+from repro.shard.partition import (PartitionPlan, latency_matrix,
                                    min_lookahead, partition_spec)
 from repro.shard.record import KeyedRecorder, merge_streams
 
@@ -85,13 +80,6 @@ class ShardRunResult:
     exported: int = 0
     peak_heap: int = 0
     compactions: int = 0
-    migrations: int = 0
-    migration_log: List[Tuple] = field(default_factory=list)
-    #: Rebalance decisions executed: count, total moves, and the
-    #: ``(T_rb, n_moves)`` log.
-    rebalances: int = 0
-    rebalance_moves: int = 0
-    rebalance_log: List[Tuple[float, int]] = field(default_factory=list)
     deliveries: int = 0
     sent: int = 0
     members: int = 0
@@ -136,10 +124,9 @@ class ShardRunResult:
             "exported": self.exported,
             "peak_heap": self.peak_heap,
             "compactions": self.compactions,
-            "migrations": self.migrations,
-            "rebalances": self.rebalances,
-            "rebalance_moves": self.rebalance_moves,
-            "rebalance_log": [list(e) for e in self.rebalance_log],
+            # Ownership never moves; the key stays because the benchmark
+            # (perfbench/run.py) reports it as shard.rebalance_moves.
+            "rebalance_moves": 0,
             "deliveries": self.deliveries,
             "wall_s": round(self.wall_s, 6),
             "build_s": round(self.build_s, 6),
@@ -167,7 +154,7 @@ class ShardRunResult:
 # Worker side
 # ----------------------------------------------------------------------
 def _bind(ctx: ShardContext, scenario) -> None:
-    """Attach probe gatherers and the migration hook to a built scenario."""
+    """Attach the probe gatherers to a built scenario."""
     net = scenario.net
 
     def membership() -> Dict[str, bool]:
@@ -184,23 +171,6 @@ def _bind(ctx: ShardContext, scenario) -> None:
     ctx.gatherers["churn.membership"] = membership
     ctx.gatherers["token.holders"] = token_holders
 
-    if scenario.mobility is not None:
-        sim = scenario.sim
-
-        def migration_hook(mh, old_ap, new_ap):
-            # Every driven handoff of a locally-owned MH is noted — the
-            # rebalancer needs returns-home as much as departures to
-            # keep its co-location picture straight; only cross-shard
-            # moves count as migrations.
-            if ctx.is_local(mh):
-                dest = ctx.shard_of(new_ap)
-                if dest != ctx.shard_id:
-                    ctx.migrations += 1
-                ctx.migration_notes.append(
-                    (sim.now, mh, old_ap, new_ap, dest))
-
-        scenario.mobility.migration_hook = migration_hook
-
 
 def _apply_imports(sim, fabric, imports) -> int:
     for (time_, key, dst, msg) in imports:
@@ -208,26 +178,22 @@ def _apply_imports(sim, fabric, imports) -> int:
     return len(imports)
 
 
-def _windowed_run(sim, ctx: ShardContext, net, conn,
+def _windowed_run(sim, ctx: ShardContext, fabric, conn,
                   horizon: float) -> Dict[str, Any]:
     """Drive the engine through coordinator-granted windows."""
-    fabric = net.fabric
     front = 0.0
-    granted: Optional[float] = None
-    pending_rebal: Optional[Tuple[float, Tuple]] = None
-    windows = stalls = probes = rebalances = moves_in = moves_out = 0
+    windows = stalls = probes = 0
     barrier_wait = 0.0
     stall_causes: Dict[str, int] = {}
 
     def payload(kind: str) -> Dict[str, Any]:
         return {"t": kind, "front": front,
                 "earliest": sim.peek_entry(),
-                "events": sim.events_processed,
-                "exports": ctx.take_outbox(),
-                "migrations": ctx.take_migration_notes()}
+                "exports": ctx.take_outbox()}
 
     def sync(msg: Dict[str, Any]) -> Dict[str, Any]:
-        nonlocal barrier_wait, pending_rebal
+        """One coordinator round trip; every reply carries imports."""
+        nonlocal barrier_wait
         conn.send(msg)
         t0 = time.perf_counter()
         reply = conn.recv()
@@ -236,13 +202,8 @@ def _windowed_run(sim, ctx: ShardContext, net, conn,
         obs = sim.obs
         if obs is not None:
             obs.observe("shard.barrier_wait_ms", waited * 1e3)
-        rb = reply.get("rebal")
-        if rb is not None:
-            pending_rebal = rb
-        return reply
-
-    def apply(reply: Dict[str, Any]) -> None:
         ctx.imported += _apply_imports(sim, fabric, reply["imports"])
+        return reply
 
     def run_probe(probe) -> None:
         nonlocal probes
@@ -252,7 +213,6 @@ def _windowed_run(sim, ctx: ShardContext, net, conn,
         msg["probe"] = (kind, probe_t, probe_k)
         msg["data"] = ctx.gather(kind)
         reply = sync(msg)
-        apply(reply)
         ctx.stash_probe(reply["probe_data"])
         entry = sim.peek_entry()
         if entry != (probe_t, probe_k):  # pragma: no cover - invariant
@@ -262,61 +222,18 @@ def _windowed_run(sim, ctx: ShardContext, net, conn,
         ctx.pop_probe()
         probes += 1
 
-    def run_rebalance() -> None:
-        nonlocal pending_rebal, rebalances, moves_in, moves_out
-        t_rb, moves = pending_rebal
-        msg = payload("rebal")
-        msg["rb"] = t_rb
-        # Old owners collect (and locally cancel) the outgoing state
-        # *before* the exchange; the blobs ride the sync itself.
-        outgoing = [migrate.collect(sim, net, mv.mh) for mv in moves
-                    if mv.from_shard == ctx.shard_id]
-        msg["states"] = outgoing
-        reply = sync(msg)
-        # Every shard flips the (replicated) ownership map, then the
-        # new owners restore; imports land afterwards so an arrival for
-        # a moved MH schedules on its post-move owner.
-        ctx.apply_moves(moves)
-        for blob in reply["states"]:
-            migrate.restore(sim, net, blob)
-        apply(reply)
-        moves_out += len(outgoing)
-        moves_in += len(reply["states"])
-        rebalances += 1
-        pending_rebal = None
-        obs = sim.obs
-        if obs is not None:
-            obs.inc("shard.rebalance")
-            if outgoing or reply["states"]:
-                obs.inc("shard.rebalance.moves",
-                        len(outgoing) + len(reply["states"]))
-
-    tail = False
-    while not tail:
-        if granted is None:
-            reply = sync(payload("window"))
-            apply(reply)
-            if reply.get("tail"):
-                tail = True
-                break
-            granted = reply["grant"]
-            continue
-        stop_t = granted
-        at_rebal = False
-        if pending_rebal is not None and pending_rebal[0] <= granted:
-            stop_t = pending_rebal[0]
-            at_rebal = True
+    while True:
+        reply = sync(payload("window"))
+        if reply.get("tail"):
+            break
+        granted = reply["grant"]
+        # Probes inside the window are barriers of their own.
         probe = ctx.peek_probe()
-        if probe is not None and (probe[0], probe[1]) < (stop_t, 0):
+        while probe is not None and (probe[0], probe[1]) < (granted, 0):
             run_probe(probe)
-            continue
-        n = sim.run_window(stop_t)
-        front = stop_t
-        if at_rebal:
-            run_rebalance()
-            granted = None
-            continue
-        granted = None
+            probe = ctx.peek_probe()
+        n = sim.run_window(granted)
+        front = granted
         windows += 1
         if n == 0:
             stalls += 1
@@ -350,9 +267,7 @@ def _windowed_run(sim, ctx: ShardContext, net, conn,
     if sim.now < horizon:
         sim.now = horizon
     return {"windows": windows, "stalls": stalls, "probes": probes,
-            "stall_causes": stall_causes, "barrier_wait_s": barrier_wait,
-            "rebalances": rebalances, "moves_in": moves_in,
-            "moves_out": moves_out}
+            "stall_causes": stall_causes, "barrier_wait_s": barrier_wait}
 
 
 def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
@@ -411,7 +326,7 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
 
         t1 = time.perf_counter()
         scenario.start()
-        loop_stats = _windowed_run(sim, ctx, scenario.net, conn,
+        loop_stats = _windowed_run(sim, ctx, fabric, conn,
                                    horizon=spec.duration_ms)
         wall = time.perf_counter() - t1
 
@@ -425,7 +340,6 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
                 "stall_causes": loop_stats["stall_causes"],
                 "barrier_wait_s": round(loop_stats["barrier_wait_s"], 6),
                 "export_q_peak": ctx.export_q_peak,
-                "rebalances": loop_stats["rebalances"],
             }
             obs_payload = {
                 "report": sub_report,
@@ -450,17 +364,12 @@ def _worker_main(conn, spec_dict: Dict[str, Any], plan: PartitionPlan,
             "stall_causes": loop_stats["stall_causes"],
             "barrier_wait_s": loop_stats["barrier_wait_s"],
             "probes": loop_stats["probes"],
-            "rebalances": loop_stats["rebalances"],
             "exported": ctx.exported,
             "export_q_peak": ctx.export_q_peak,
             "obs": obs_payload,
             "spans": collector.events if collector is not None else None,
             "peak_heap": sim.peak_heap,
             "compactions": sim.compactions,
-            "migrations": ctx.migrations,
-            # Notes from the tail segment (after the last window sync)
-            # have no boundary left to ride; ship them with the result.
-            "migrations_tail": ctx.take_migration_notes(),
             "deliveries": deliveries,
             "members": members,
             "sent": sent,
@@ -583,89 +492,39 @@ def _assemble_obs(result: ShardRunResult, spec: ExperimentSpec,
 
 
 class _Coordinator:
-    """Round state for one sharded run: grants, probes, rebalances.
+    """Round state for one sharded run: grants and probes.
 
     The coordinator is message-driven: it receives exactly one payload
-    from every shard it has answered, ingests side effects (export
-    routing, migration notes, load counters) immediately, and then
-    serves whatever round the stashed payloads allow — a probe or
-    rebalance barrier when *all* live shards parked there, otherwise
-    per-shard grants to the window-parked shards whose bound moved.
+    from every shard it has answered, routes its exports immediately,
+    and then serves whatever round the stashed payloads allow — a probe
+    barrier when *all* live shards parked there, otherwise per-shard
+    grants to the window-parked shards whose bound moved.
     """
 
     def __init__(self, shards: int, horizon: float,
-                 matrix: List[List[float]],
-                 rebalancer: Optional[Rebalancer],
-                 result: ShardRunResult):
+                 matrix: List[List[float]]):
         self.n = shards
         self.horizon = horizon
         self.matrix = matrix
-        self.rebalancer = rebalancer
-        self.result = result
         self.fronts = [0.0] * shards
         self.earliest: List[Optional[Tuple[float, int]]] = [None] * shards
-        self.shard_events = [0] * shards
         self.inbound: List[List[Tuple]] = [[] for _ in range(shards)]
         self.inbound_min = [_INF] * shards
-        #: Co-location deficits: mh → (owner_shard, ap_shard), latest
-        #: migration note wins, cleared when the MH comes home or moves.
-        self.pending_moves: Dict[str, Tuple[int, int]] = {}
-        #: Announced-but-unapplied rebalance: ``(T_rb, moves)``.
-        self.pending_rebal: Optional[Tuple[float, Tuple]] = None
-        self.move_dest: Dict[str, int] = {}
-        self.last_rebal_t = 0.0
 
     # -- ingestion ------------------------------------------------------
     def ingest(self, i: int, m: Dict[str, Any]) -> None:
         self.fronts[i] = m["front"]
         self.earliest[i] = m["earliest"]
-        self.shard_events[i] = m["events"]
-        for note in m["migrations"]:
-            mh, dest = note[1], note[4]
-            if dest != i:
-                self.result.migration_log.append(note)
-                self.pending_moves[mh] = (i, dest)
-            else:
-                self.pending_moves.pop(mh, None)
-        rb_t = self.pending_rebal[0] if self.pending_rebal else None
         for dest, batch in m["exports"].items():
-            for item in batch:
-                d = dest
-                if rb_t is not None and item[0] >= rb_t:
-                    d = self.move_dest.get(item[2], dest)
-                self.inbound[d].append(item)
-                if item[0] < self.inbound_min[d]:
-                    self.inbound_min[d] = item[0]
+            self.inbound[dest].extend(batch)
+            first = min(item[0] for item in batch)
+            if first < self.inbound_min[dest]:
+                self.inbound_min[dest] = first
 
     def drain(self, i: int) -> List[Tuple]:
         batch, self.inbound[i] = self.inbound[i], []
         self.inbound_min[i] = _INF
         return batch
-
-    def reroute_for_moves(self) -> None:
-        """Re-route undrained inbound items to moved MHs' new owners.
-
-        Called at the rebalance barrier: anything still queued for a
-        moving MH necessarily arrives at or after ``T_rb`` (grants never
-        outrun queued arrivals), so the new owner can admit it.  Items
-        ingested *before* the announcement missed the ingest-time
-        rewrite; this sweep catches them.
-        """
-        moved = self.move_dest
-        for i in range(self.n):
-            if not self.inbound[i]:
-                continue
-            kept = []
-            for item in self.inbound[i]:
-                d = moved.get(item[2], i)
-                if d != i:
-                    self.inbound[d].append(item)
-                else:
-                    kept.append(item)
-            self.inbound[i] = kept
-        for i in range(self.n):
-            self.inbound_min[i] = min(
-                (it[0] for it in self.inbound[i]), default=_INF)
 
     # -- grant math -----------------------------------------------------
     def lower_bounds(self) -> List[float]:
@@ -712,54 +571,10 @@ class _Coordinator:
         grant = min(self.horizon, raw)
         return max(grant, self.fronts[i])
 
-    # -- rebalance decisions --------------------------------------------
-    def maybe_announce(self) -> None:
-        """Decide a rebalance when every shard is window-parked."""
-        rb = self.rebalancer
-        if rb is None or self.pending_rebal is not None \
-                or not self.pending_moves:
-            return
-        t_rb = max(self.fronts)
-        if not (0.0 < t_rb < self.horizon):
-            return
-        if t_rb - self.last_rebal_t < rb.min_interval:
-            return
-        moves = [mv for mv in rb.propose(dict(self.pending_moves),
-                                         tuple(self.shard_events))
-                 if mv.from_shard != mv.to_shard]
-        if not moves:
-            return
-        self.pending_rebal = (t_rb, tuple(moves))
-        self.move_dest = {mv.mh: mv.to_shard for mv in moves}
-        for mv in moves:
-            self.pending_moves.pop(mv.mh, None)
-        self.result.rebalances += 1
-        self.result.rebalance_moves += len(moves)
-        self.result.rebalance_log.append((t_rb, len(moves)))
-
-    def finish_rebalance(self) -> None:
-        t_rb, moves = self.pending_rebal
-        # An MH that handed off again between announcement and barrier
-        # left a note naming the *old* owner; the move just executed, so
-        # rewrite the deficit to the new owner (or drop it if satisfied).
-        for mv in moves:
-            entry = self.pending_moves.get(mv.mh)
-            if entry is not None:
-                if entry[1] == mv.to_shard:
-                    self.pending_moves.pop(mv.mh)
-                else:
-                    self.pending_moves[mv.mh] = (mv.to_shard, entry[1])
-        self.pending_rebal = None
-        self.move_dest = {}
-        self.last_rebal_t = t_rb
-
 
 def run_sharded(spec: ExperimentSpec, shards: int,
                 record: bool = False, obs: bool = False,
-                spans: bool = False,
-                partitioner: Union[None, str, Partitioner] = None,
-                rebalancer: Union[None, str, Rebalancer] = None,
-                ) -> ShardRunResult:
+                spans: bool = False) -> ShardRunResult:
     """Run one spec on ``shards`` worker processes.
 
     ``record=True`` captures every shard's keyed trace stream and
@@ -780,20 +595,13 @@ def run_sharded(spec: ExperimentSpec, shards: int,
     merges the streams into :attr:`ShardRunResult.span_events` in a
     deterministic order (time, event code, fields), so the merged
     stream assembles identically to a sequential collection.
-
-    ``partitioner`` / ``rebalancer`` pick strategies from the
-    :mod:`repro.shard.partition` registries (instances work too);
-    ``rebalancer="none"`` disables ownership moves.  The defaults —
-    the balanced partitioner with the load-aware rebalancer — are what
-    the identity matrix runs, so adaptivity is exercised, not opt-in.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     if shards == 1:
         return _sequential_result(spec, record, obs=obs, spans=spans)
 
-    plan = partition_spec(spec, shards, partitioner)
-    rb = get_rebalancer(rebalancer)
+    plan = partition_spec(spec, shards)
     mp = multiprocessing.get_context()
     conns = []
     procs = []
@@ -840,8 +648,7 @@ def run_sharded(spec: ExperimentSpec, shards: int,
         for conn in conns:
             conn.send({"t": "go"})
 
-        coord = _Coordinator(shards, spec.duration_ms, matrices[0], rb,
-                             result)
+        coord = _Coordinator(shards, spec.duration_ms, matrices[0])
         stash: List[Optional[Dict[str, Any]]] = [None] * shards
 
         def collect_done(i: int, m: Dict[str, Any]) -> None:
@@ -855,13 +662,8 @@ def run_sharded(spec: ExperimentSpec, shards: int,
             result.export_q_peaks.append(m["export_q_peak"])
             result.events += m["events"]
             result.exported += m["exported"]
-            # Tail notes cover every driven handoff; only cross-shard
-            # ones are migrations (mirrors ingest()'s filter).
-            result.migration_log.extend(
-                n for n in m["migrations_tail"] if n[4] != i)
             result.peak_heap = max(result.peak_heap, m["peak_heap"])
             result.compactions += m["compactions"]
-            result.migrations += m["migrations"]
             result.deliveries += m["deliveries"]
             result.members += m["members"]
             result.sent += m["sent"]
@@ -903,61 +705,32 @@ def run_sharded(spec: ExperimentSpec, shards: int,
                     kind, [stash[i]["data"] for i in range(shards)])
                 for i in range(shards):
                     conns[i].send({"imports": coord.drain(i),
-                                   "probe_data": merged,
-                                   "rebal": coord.pending_rebal})
+                                   "probe_data": merged})
                     stash[i] = None
-                continue
-
-            if kinds == {"rebal"}:
-                t_rb, moves = coord.pending_rebal
-                rbs = {stash[i]["rb"] for i in range(shards)}
-                if rbs != {t_rb}:  # pragma: no cover - invariant
-                    raise RuntimeError(f"rebalance desync: {rbs} != {t_rb}")
-                coord.reroute_for_moves()
-                states = {}
-                for i in range(shards):
-                    for blob in stash[i]["states"]:
-                        states[blob["mh"]] = blob
-                for i in range(shards):
-                    mine = [states[mv.mh] for mv in moves
-                            if mv.to_shard == i]
-                    conns[i].send({"imports": coord.drain(i),
-                                   "states": mine})
-                    stash[i] = None
-                coord.finish_rebalance()
                 continue
 
             # Mixed round: answer the window-parked shards whose bound
-            # lets them advance; probe/rebal-parked shards stay stashed
-            # until everyone reaches their barrier.
+            # lets them advance; probe-parked shards stay stashed until
+            # everyone reaches the barrier.
             widx = [i for i in range(shards)
                     if stash[i] is not None and stash[i]["t"] == "window"]
-            if len(widx) == shards:
-                coord.maybe_announce()
-                if (coord.pending_rebal is None
-                        and all(f >= spec.duration_ms
-                                for f in coord.fronts)):
-                    for i in range(shards):
-                        conns[i].send({"imports": coord.drain(i),
-                                       "tail": True})
-                        stash[i] = None
-                    continue
+            if len(widx) == shards and all(f >= spec.duration_ms
+                                           for f in coord.fronts):
+                for i in range(shards):
+                    conns[i].send({"imports": coord.drain(i),
+                                   "tail": True})
+                    stash[i] = None
+                continue
             lb = coord.lower_bounds()
-            rb_t = (coord.pending_rebal[0]
-                    if coord.pending_rebal is not None else None)
             served = 0
             for i in widx:
                 grant = coord.grant_for(i, lb)
-                # Hold zero-width grants — a shard whose bound has not
-                # moved stays parked instead of spinning — EXCEPT when a
-                # grant would carry the shard to a pending rebalance
-                # barrier: it must be answered to park there.
-                if grant <= coord.fronts[i] and not (
-                        rb_t is not None and grant >= rb_t):
+                # Hold zero-width grants: a shard whose bound has not
+                # moved stays parked instead of spinning.
+                if grant <= coord.fronts[i]:
                     continue
                 conns[i].send({"imports": coord.drain(i),
-                               "grant": grant,
-                               "rebal": coord.pending_rebal})
+                               "grant": grant})
                 stash[i] = None
                 served += 1
             if served == 0:  # pragma: no cover - invariant
@@ -995,10 +768,7 @@ def run_sharded(spec: ExperimentSpec, shards: int,
 
 
 def record_sharded(spec: ExperimentSpec, shards: int,
-                   stream_path: Optional[str] = None,
-                   partitioner: Union[None, str, Partitioner] = None,
-                   rebalancer: Union[None, str, Rebalancer] = None,
-                   ) -> List[str]:
+                   stream_path: Optional[str] = None) -> List[str]:
     """Canonical merged JSONL lines of a ``shards``-way run.
 
     With ``stream_path`` the merged stream is also written to a
@@ -1006,8 +776,7 @@ def record_sharded(spec: ExperimentSpec, shards: int,
     :func:`repro.sim.trace.write_trace_lines` — the sharded face of the
     streaming trace sink.
     """
-    result = run_sharded(spec, shards, record=True,
-                         partitioner=partitioner, rebalancer=rebalancer)
+    result = run_sharded(spec, shards, record=True)
     lines = result.merged_lines or []
     if stream_path is not None:
         from repro.sim.trace import write_trace_lines

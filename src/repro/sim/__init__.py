@@ -1,15 +1,12 @@
 """Deterministic discrete-event simulation kernel.
 
 The kernel underpins every protocol in this repository.  It is a classic
-event-heap scheduler with three deliberate properties:
+event-heap scheduler with two deliberate properties:
 
 * **Determinism** — events with identical timestamps fire in scheduling
   order (a monotonic tie-break counter), and all randomness flows through
   named, seeded streams (:mod:`repro.sim.rand`).  The same seed always
   reproduces the same trace, which the test suite relies on.
-* **Two programming models** — callback-style event handlers (used by the
-  protocol state machines) and generator-based processes
-  (:mod:`repro.sim.process`, used by workload scripts).
 * **Observability** — a structured trace bus (:mod:`repro.sim.trace`)
   that metrics collectors subscribe to.
 
@@ -26,8 +23,7 @@ Example
 """
 
 from repro.sim.engine import Event, Simulator, SimulationError
-from repro.sim.process import Process, Timeout, WaitSignal, Signal
-from repro.sim.timers import Timer, PeriodicTimer
+from repro.runtime.timers import Timer, PeriodicTimer
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import TraceBus, TraceRecord
 
@@ -35,10 +31,6 @@ __all__ = [
     "Event",
     "Simulator",
     "SimulationError",
-    "Process",
-    "Timeout",
-    "WaitSignal",
-    "Signal",
     "Timer",
     "PeriodicTimer",
     "RandomStreams",

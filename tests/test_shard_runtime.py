@@ -154,17 +154,6 @@ def test_token_holder_probe_path_byte_identical():
     assert div is None, div.describe() if div else None
 
 
-def test_mobility_migrations_are_observed():
-    spec = short("handoff_storm", 2000.0)
-    result = run_sharded(spec, 2, record=True)
-    # The corridor walk crosses the BR boundary: cross-shard handoffs
-    # must be detected, counted, and logged at window boundaries.
-    assert result.migrations > 0
-    assert len(result.migration_log) == result.migrations
-    seq = record_spec(spec)
-    assert first_divergence(seq.lines, result.merged_lines) is None
-
-
 # ----------------------------------------------------------------------
 # Runtime statistics and results
 # ----------------------------------------------------------------------
@@ -200,7 +189,7 @@ def test_bad_shard_count():
 
 
 # ----------------------------------------------------------------------
-# Stall attribution and load-aware rebalancing
+# Stall attribution and the stats the benchmark reads
 # ----------------------------------------------------------------------
 def test_stall_causes_partition_the_stall_count():
     """Every empty window is attributed to exactly one cause, and the
@@ -221,42 +210,23 @@ def test_stall_causes_partition_the_stall_count():
         f"not folded into {sorted(all_causes)}")
 
 
-def test_rebalancer_moves_ownership_and_keeps_identity():
-    spec = short("handoff_storm", 2000.0)
-    seq = record_spec(spec)
-    result = run_sharded(spec, 2, record=True)
-    # The corridor walk drives MHs across the BR cut: the load-aware
-    # rebalancer (on by default) must fire and actually move ownership.
-    assert result.rebalances > 0
-    assert result.rebalance_moves >= result.rebalances
-    assert first_divergence(seq.lines, result.merged_lines) is None
-    # The decision log is (time, n_moves) at replicated barriers:
-    # strictly increasing, inside the horizon, spaced >= min_interval.
-    times = [t for t, _ in result.rebalance_log]
-    assert all(0.0 < t < spec.duration_ms for t in times)
-    assert times == sorted(times)
-    from repro.shard.partition import LoadAwareRebalancer
-    min_interval = LoadAwareRebalancer().min_interval
-    assert all(b - a >= min_interval for a, b in zip(times, times[1:]))
-    assert sum(n for _, n in result.rebalance_log) == result.rebalance_moves
-
-
-def test_rebalancer_none_disables_moves():
-    spec = short("handoff_storm", 2000.0)
-    result = run_sharded(spec, 2, record=True, rebalancer="none")
-    assert result.rebalances == 0
-    assert result.rebalance_log == []
-    seq = record_spec(spec)
-    assert first_divergence(seq.lines, result.merged_lines) is None
-
-
 def test_stats_dict_reports_adaptive_runtime_fields():
+    """Pin every result field the benchmark (perfbench/run.py) reads,
+    so a shard edit cannot silently break its traced pass."""
     spec = short("handoff_storm", 2000.0)
-    result = run_sharded(spec, 2)
+    result = run_sharded(spec, 2, record=True)
     stats = result.stats_dict()
-    assert stats["rebalances"] == result.rebalances
-    assert stats["rebalance_moves"] == result.rebalance_moves
-    assert stats["rebalance_log"] == [list(e) for e in result.rebalance_log]
+    assert len(stats["shard_events"]) == 2
+    assert stats["shard_events"] == result.shard_events
+    assert stats["windows"] == result.windows > 0
+    assert stats["exported"] == result.exported > 0
+    assert len(stats["barrier_wait_s"]) == len(stats["shard_wall_s"]) == 2
+    assert stats["window_stalls"] == sum(result.stalled_windows)
+    assert stats["rebalance_moves"] == 0  # ownership is static
+    assert result.deliveries > 0 and result.sent > 0 and result.members > 0
+    assert result.merged_lines
+    assert sum(result.trace_counts.values()) == len(result.merged_lines)
+    assert result.wall_s > 0
     matrix = stats["lookahead_matrix_ms"]
     assert len(matrix) == 2 and all(len(row) == 2 for row in matrix)
     assert matrix[0][0] == 0.0 and matrix[0][1] > 0.0

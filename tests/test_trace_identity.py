@@ -147,7 +147,7 @@ def test_sharded_trace_byte_identical_to_sequential(name, shards):
 
 #: Representative subset for the deeper 8-way decomposition: the
 #: smoke scenario, the two mobility-heavy ones (cross-shard handoffs,
-#: open-world churn — the paths rebalancing exercises hardest), and one
+#: open-world churn — the most cross-shard wireless traffic), and one
 #: fault-plan scenario (partitions + probe-synchronized activations).
 SHARDS8_SUBSET = ["quickstart", "handoff_storm", "open_world_mobile",
                   "split_brain"]
@@ -156,8 +156,7 @@ SHARDS8_SUBSET = ["quickstart", "handoff_storm", "open_world_mobile",
 @pytest.mark.parametrize("name", SHARDS8_SUBSET)
 def test_sharded_trace_byte_identical_at_eight_shards(name):
     """Identity survives the 8-way split, where BR units must be split
-    below subtree granularity and the rebalancer has the most shards to
-    move ownership between."""
+    below subtree granularity and roaming MHs reach the most shards."""
     from repro.shard import record_sharded
 
     duration = DURATIONS.get(name, DEFAULT_DURATION)
