@@ -211,8 +211,8 @@ def measure_spec(spec: ExperimentSpec, repeat: int = 1,
     hook (usable with or without ``obs``).
 
     ``stream_path`` streams the full trace to that file (``.gz``
-    compressed when the name says so) through a
-    :class:`~repro.sim.trace.StreamingTraceSink`, one sink per repeat
+    compressed when the name says so) through a streaming
+    :class:`~repro.validation.record.TraceRecorder`, one per repeat
     (each overwrites the last).  The headline events/sec then includes
     the serialization cost — the point is proving the streaming rung
     end to end, not flattering the rate.  Sequential only.
@@ -245,9 +245,8 @@ def measure_spec(spec: ExperimentSpec, repeat: int = 1,
         sim = Simulator(seed=spec.seed, trace=TraceBus(counting=False))
         sink = None
         if stream_path is not None:
-            from repro.sim.trace import StreamingTraceSink
-            sink = StreamingTraceSink(stream_path)
-            sink.attach(sim.trace)
+            from repro.validation.record import TraceRecorder
+            sink = TraceRecorder(sim.trace, path=stream_path)
         collector = None
         if spans:
             from repro.obs.spans import SpanCollector  # lazy: optional layer

@@ -45,7 +45,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import gzip
 import json
 import os
 import sys
@@ -112,19 +111,18 @@ def _resolve_span_events(args: argparse.Namespace,
     a recorded trace (lines are JSON objects — coarse stages only);
     anything else is a registry scenario name, run in-process.
     """
-    from repro.obs.spans import (RATE_ENV, events_from_trace,
-                                 read_span_events)
+    from repro.obs.spans import RATE_ENV, events_from_trace, line_to_span
+    from repro.sim.trace import line_to_record, read_lines
 
     target = args.input
     if os.path.exists(target):
+        items = read_lines(target, lambda line: (
+            line_to_span(line) if line.startswith("[")
+            else line_to_record(line)))
         name = os.path.basename(target)
-        opener = gzip.open if target.endswith(".gz") else open
-        with opener(target, "rt", encoding="utf-8") as fh:
-            first = fh.readline().lstrip()
-        if first.startswith("["):
-            return read_span_events(target), name, {}
-        with opener(target, "rt", encoding="utf-8") as fh:
-            return events_from_trace(fh), name, {}
+        if items and isinstance(items[0], tuple):
+            return items, name, {}
+        return events_from_trace(items), name, {}
 
     spec = _spec_for(target, args.duration, args.seed)
     shards = getattr(args, "shards", 1) or 1

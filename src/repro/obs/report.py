@@ -8,12 +8,12 @@ the coordinator); this module is the read side shared by the
 
 from __future__ import annotations
 
-import gzip
 import json
 from typing import Any, Dict, Iterable, List
 
 from repro.obs.profiler import render_top
 from repro.obs.registry import merge_counter_dicts
+from repro.sim.trace import read_lines
 
 
 def load_report(path: str) -> Dict[str, Any]:
@@ -27,14 +27,7 @@ def load_report(path: str) -> Dict[str, Any]:
 
 def load_timeline(path: str) -> List[Dict[str, Any]]:
     """Read a ``*_timeline.jsonl.gz`` (or plain ``.jsonl``) timeline."""
-    opener = gzip.open if path.endswith(".gz") else open
-    rows = []
-    with opener(path, "rt", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+    return read_lines(path, json.loads)
 
 
 def shard_reports(report: Dict[str, Any]) -> List[Dict[str, Any]]:

@@ -27,7 +27,6 @@ compressed per-window timeline.  ``python -m repro.obs`` renders both.
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
 import sys
@@ -36,6 +35,7 @@ from typing import Any, Dict, List, Optional, TextIO
 
 from repro.obs.profiler import DEFAULT_STRIDE, DispatchProfiler
 from repro.obs.registry import MetricsRegistry, diff_counts
+from repro.sim.trace import write_lines
 
 #: Schema tag written into every run report, bumped on breaking changes.
 OBS_SCHEMA = "repro.obs/v1"
@@ -310,10 +310,9 @@ def write_artifacts(report: Dict[str, Any], rows: List[Dict[str, Any]],
     safe = name.replace("/", "_").replace(" ", "_")
     os.makedirs(out_dir, exist_ok=True)
     timeline = os.path.join(out_dir, f"OBS_{safe}_timeline.jsonl.gz")
-    with gzip.open(timeline, "wt", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+    write_lines(timeline, (json.dumps(row, sort_keys=True,
+                                      separators=(",", ":"))
+                           for row in rows))
     report = dict(report)
     report["timeline"] = os.path.basename(timeline)
     path = os.path.join(out_dir, f"OBS_{safe}.json")

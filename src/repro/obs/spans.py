@@ -37,17 +37,19 @@ threshold.  ``local_seq`` is the one key field present at *every*
 instrumentation site without cross-entity state, so every shard and
 every stage agree on the sampled set (the cost: messages with the same
 local seq across sources sample together, which biases no per-stage
-statistic).  At the xxl/metro rungs a :class:`SpanStreamWriter` streams
-events to windowed gzip JSONL instead of holding them.
+statistic).  At the xxl/metro rungs the collector streams events to
+windowed gzip JSONL (the :mod:`repro.sim.trace` codec) instead of
+holding them.
 """
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 from zlib import crc32
+
+from repro.sim.trace import JsonlWriter, read_lines, write_lines
 
 #: Schema tag stamped into span report payloads.
 SPAN_SCHEMA = "repro.spans/v1"
@@ -96,76 +98,27 @@ def sampled(local_seq: Any, rate: float) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Streaming writer / reader
+# Span-event streams (one JSON array per line, through the trace codec)
 # ----------------------------------------------------------------------
-class SpanStreamWriter:
-    """Windowed (compressed) JSONL sink for span events.
+def span_to_line(ev: SpanEvent) -> str:
+    """One span event as a compact JSONL line."""
+    return json.dumps(ev, separators=(",", ":"), default=list)
 
-    Mirrors :class:`~repro.sim.trace.StreamingTraceSink`: ``.gz`` paths
-    gzip with ``mtime=0`` for byte-stable output, at most ``window``
-    events are buffered, and :meth:`close` is idempotent.
-    """
 
-    def __init__(self, path: str, window: int = 4096):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.path = path
-        self.window = window
-        self.count = 0
-        self._buffer: List[str] = []
-        if path.endswith(".gz"):
-            self._fh = gzip.GzipFile(path, "wb", mtime=0)
-        else:
-            self._fh = open(path, "wb")
-        self._closed = False
-
-    def write(self, ev: SpanEvent) -> None:
-        self._buffer.append(json.dumps(ev, separators=(",", ":"),
-                                       default=list))
-        self.count += 1
-        if len(self._buffer) >= self.window:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._buffer:
-            data = "".join(line + "\n" for line in self._buffer)
-            self._fh.write(data.encode("utf-8"))
-            self._buffer.clear()
-
-    def close(self) -> None:
-        if not self._closed:
-            self.flush()
-            self._fh.close()
-            self._closed = True
-
-    def __enter__(self) -> "SpanStreamWriter":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+def line_to_span(line: str) -> SpanEvent:
+    """Inverse of :func:`span_to_line` (arrays load back as tuples)."""
+    return tuple(json.loads(line))
 
 
 def read_span_events(path: str) -> List[SpanEvent]:
-    """Load span events written by :class:`SpanStreamWriter`."""
-    opener = gzip.open if path.endswith(".gz") else open
-    out: List[SpanEvent] = []
-    with opener(path, "rt", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(tuple(json.loads(line)))
-    return out
+    """Load a span-event stream written by :func:`write_span_events`."""
+    return read_lines(path, line_to_span)
 
 
 def write_span_events(path: str, events: Iterable[SpanEvent],
                       window: int = 4096) -> int:
-    """Write pre-collected events through a :class:`SpanStreamWriter`."""
-    with SpanStreamWriter(path, window=window) as sink:
-        n = 0
-        for ev in events:
-            sink.write(ev)
-            n += 1
-    return n
+    """Write span events to ``path`` (``.gz`` byte-stable); the count."""
+    return write_lines(path, map(span_to_line, events), window)
 
 
 # ----------------------------------------------------------------------
@@ -188,14 +141,14 @@ class SpanCollector:
     """
 
     def __init__(self, rate: Optional[float] = None,
-                 sink: Optional[SpanStreamWriter] = None):
+                 sink: Optional[JsonlWriter] = None):
         rate = default_rate() if rate is None else float(rate)
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {rate}")
         self.rate = rate
         self.events: List[SpanEvent] = []
-        self._sink = sink
-        self._add = sink.write if sink is not None else self.events.append
+        self._add = (self.events.append if sink is None
+                     else lambda ev: sink.write(span_to_line(ev)))
         # None means "keep everything" (the fast path); otherwise a
         # local_seq -> bool memo so the crc is paid once per message.
         self._keep: Optional[Dict[Any, bool]] = None if rate >= 1.0 else {}
@@ -628,7 +581,7 @@ def collect_spec(spec, rate: Optional[float] = None,
     returned list is empty.
     """
     from repro.validation.suite import observed_scenario
-    sink = SpanStreamWriter(stream_path) if stream_path else None
+    sink = JsonlWriter(stream_path) if stream_path else None
     collector = SpanCollector(rate=rate, sink=sink)
     try:
         with observed_scenario(spec, collector) as scenario:

@@ -137,11 +137,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  {key}: {value}")
     _print_shard_table(result)
     if args.record is not None:
-        with open(args.record, "w", encoding="utf-8") as fh:
-            for line in result.merged_lines or []:
-                fh.write(line + "\n")
-        print(f"wrote {len(result.merged_lines or [])} records "
-              f"to {args.record}")
+        from repro.sim.trace import write_lines
+        n = write_lines(args.record, result.merged_lines or [])
+        print(f"wrote {n} records to {args.record}")
     if args.obs is not None and result.obs_report is not None:
         from repro.obs.session import write_artifacts
         name = (spec.name if result.n_shards == 1
@@ -230,7 +228,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (KeyError, ValueError, OSError) as exc:
+    except OSError as exc:
+        print(f"error: {exc.strerror or exc}: {exc.filename}"
+              if exc.filename else f"error: {exc}", file=sys.stderr)
+        return 2
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
 

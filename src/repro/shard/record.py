@@ -15,8 +15,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, List, Tuple
 
-from repro.sim.trace import TraceBus, TraceRecord
-from repro.validation.record import record_to_line
+from repro.sim.trace import TraceBus, TraceRecord, record_to_line
 
 MergeKey = Tuple
 Entry = Tuple[MergeKey, str]

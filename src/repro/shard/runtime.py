@@ -773,12 +773,11 @@ def record_sharded(spec: ExperimentSpec, shards: int,
 
     With ``stream_path`` the merged stream is also written to a
     (``.gz``-compressed, byte-stable) JSONL file via
-    :func:`repro.sim.trace.write_trace_lines` — the sharded face of the
-    streaming trace sink.
+    :func:`repro.sim.trace.write_lines`.
     """
     result = run_sharded(spec, shards, record=True)
     lines = result.merged_lines or []
     if stream_path is not None:
-        from repro.sim.trace import write_trace_lines
-        write_trace_lines(stream_path, lines)
+        from repro.sim.trace import write_lines
+        write_lines(stream_path, lines)
     return lines

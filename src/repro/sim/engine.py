@@ -58,6 +58,8 @@ from repro.runtime.api import _INHERIT, Runtime
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import TraceBus
 
+_INF = float("inf")
+
 
 class SimulationError(RuntimeError):
     """Raised for scheduler misuse (negative delays, running twice, ...)."""
@@ -406,6 +408,35 @@ class Simulator(Runtime):
         and ``now`` is advanced to ``until`` even if the heap drains early
         (so periodic metric sampling sees a consistent end time).
         """
+        self._loop(_INF if until is None else until, _INF, max_events)
+        # Advance the clock to the requested horizon when nothing is
+        # pending before it (so periodic samplers see a consistent end
+        # time even if the heap drained or only future events remain).
+        if until is not None and until > self.now:
+            nxt = self.peek()
+            if nxt is None or nxt > until:
+                self.now = until
+
+    def run_window(self, stop_time: float, stop_key: int = 0,
+                   inclusive: bool = False) -> int:
+        """Window-stepping API for the sharded backend.
+
+        Executes pending events strictly below ``(stop_time, stop_key)``
+        — or, with ``inclusive=True``, every event with
+        ``time <= stop_time`` regardless of key (the final horizon tail,
+        matching :meth:`run`'s inclusive ``until``).  Does *not* advance
+        ``now`` past the last executed event; the caller owns the final
+        clock advance.  Returns the number of events processed.
+        """
+        return self._loop(stop_time, _INF if inclusive else stop_key, None)
+
+    def _loop(self, stop_time: float, stop_key: float,
+              max_events: Optional[int]) -> int:
+        """The dispatch loop of :meth:`run` and :meth:`run_window`: runs
+        events sorting below ``(stop_time, stop_key)`` (``stop_key=_INF``:
+        ``stop_time`` inclusive) until :meth:`stop` or ``max_events``.
+        Returns the number of events processed.
+        """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
@@ -423,17 +454,17 @@ class Simulator(Runtime):
             while heap:
                 if self._stopped:
                     break
-                ev = heap[0][2]
+                t, k, ev = heap[0]
                 if ev.cancelled:
                     heapq.heappop(heap)
                     ev.in_heap = False
                     self._cancelled_in_heap -= 1
                     continue
-                if until is not None and ev.time > until:
+                if t > stop_time or (t == stop_time and k >= stop_key):
                     break
                 heapq.heappop(heap)
                 ev.in_heap = False
-                if ev.time < self.now:  # pragma: no cover - defensive
+                if t < self.now:  # pragma: no cover - defensive
                     raise SimulationError("event heap yielded a past event")
                 if hook is None:
                     self._execute(ev)
@@ -446,62 +477,6 @@ class Simulator(Runtime):
                 processed += 1
                 if max_events is not None and processed >= max_events:
                     break
-            # Advance the clock to the requested horizon when nothing is
-            # pending before it (so periodic samplers see a consistent
-            # end time even if the heap drained or only future events
-            # remain).
-            if until is not None and until > self.now:
-                nxt = self.peek()
-                if nxt is None or nxt > until:
-                    self.now = until
-        finally:
-            if hook is not None:
-                hook._countdown = hk_count
-            self._running = False
-
-    def run_window(self, stop_time: float, stop_key: int = 0,
-                   inclusive: bool = False) -> int:
-        """Window-stepping API for the sharded backend.
-
-        Executes pending events strictly below ``(stop_time, stop_key)``
-        — or, with ``inclusive=True``, every event with
-        ``time <= stop_time`` regardless of key (the final horizon tail,
-        matching :meth:`run`'s inclusive ``until``).  Does *not* advance
-        ``now`` past the last executed event; the caller owns the final
-        clock advance.  Returns the number of events processed.
-        """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run())")
-        self._running = True
-        processed = 0
-        heap = self._heap
-        # Same inline observability protocol as :meth:`run`.
-        hook = self.obs_hook
-        hk_count = hook._countdown if hook is not None else 0
-        try:
-            while heap:
-                t, k, ev = heap[0]
-                if ev.cancelled:
-                    heapq.heappop(heap)
-                    ev.in_heap = False
-                    self._cancelled_in_heap -= 1
-                    continue
-                if inclusive:
-                    if t > stop_time:
-                        break
-                elif t > stop_time or (t == stop_time and k >= stop_key):
-                    break
-                heapq.heappop(heap)
-                ev.in_heap = False
-                if hook is None:
-                    self._execute(ev)
-                else:
-                    hk_count -= 1
-                    if hk_count:
-                        self._execute(ev)
-                    else:
-                        hk_count = hook.slow_dispatch(self, ev)
-                processed += 1
         finally:
             if hook is not None:
                 hook._countdown = hk_count

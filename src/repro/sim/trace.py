@@ -1,4 +1,5 @@
-"""Structured trace bus and the canonical trace serialization.
+"""Structured trace bus, the canonical trace serialization, and the
+JSONL(.gz) codec every stream in the package is written and read with.
 
 Protocol code emits semantic records (``kind`` + attribute dict); metric
 collectors subscribe by kind.  The bus is intentionally dumb and fast:
@@ -7,21 +8,22 @@ mode) asks for them, so tracing costs almost nothing in benchmark runs.
 
 The canonical JSONL form (:func:`record_to_line` /
 :func:`line_to_record`) lives here with the bus so that *every*
-consumer — the validation recorder, the shard merge, the streaming sink
-below — serializes one way.  :class:`StreamingTraceSink` writes that
-form to a compressed file in bounded windows: at million-MH scale a run
-emits far more records than fit in an in-memory ``records`` list, and
-the sink keeps trace memory O(window) instead of O(run length) while
-producing byte-identical lines.
+consumer — the validation recorder, the shard merge, offline replay —
+serializes one way.  :class:`JsonlWriter` / :func:`write_lines` /
+:func:`read_lines` are the one windowed writer and one reader for
+JSONL files: trace streams, span-event streams and obs timelines alike.
+The writer buffers at most ``window`` lines, so a million-MH run's
+trace costs O(window) memory, and gzips ``.gz`` paths byte-stably.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 
 @dataclass(frozen=True)
@@ -73,81 +75,30 @@ def line_to_record(line: str) -> TraceRecord:
 
 
 # ----------------------------------------------------------------------
-# Streaming sink
+# The JSONL(.gz) codec
 # ----------------------------------------------------------------------
-class StreamingTraceSink:
-    """Stream every bus record to a (compressed) JSONL file, windowed.
-
-    A wildcard subscriber that serializes records with
-    :func:`record_to_line` and writes them out every ``window`` records,
-    so trace memory stays bounded no matter how long the run is.  Paths
-    ending in ``.gz`` are gzip-compressed with ``mtime=0`` — the same
-    byte-stable framing as the committed seed goldens, so a streamed
-    file of an unchanged scenario diffs clean against its golden.
-
-    Use as a context manager (detaches *and* closes on exit), or via
-    :meth:`attach` / :meth:`detach` / :meth:`close` directly::
-
-        sink = StreamingTraceSink(path)
-        with sink.attached(sim.trace):
-            scenario.run()
-        sink.close()
-
-    The attach/detach surface matches
-    :class:`~repro.validation.record.TraceRecorder`, so anything that
-    composes with the recorder — ``observed_scenario`` in particular —
-    takes the sink unchanged.
+class JsonlWriter:
+    """Windowed JSONL writer: buffers at most ``window`` lines (given
+    without their newline), so memory stays O(window) however long the
+    stream.  ``.gz`` paths gzip with ``mtime=0`` — the goldens' framing,
+    so the same lines give the same bytes on every write.  Use as a
+    context manager or call :meth:`close` (idempotent).
     """
 
     def __init__(self, path: str, window: int = 4096):
         if window < 1:
             raise ValueError("window must be >= 1")
-        self.path = path
         self.window = window
         self.count = 0
         self._buffer: List[str] = []
-        self._trace: Optional[TraceBus] = None
         if path.endswith(".gz"):
             self._fh = gzip.GzipFile(path, "wb", mtime=0)
         else:
             self._fh = open(path, "wb")
-        self._closed = False
 
-    # -- subscription lifecycle ----------------------------------------
-    def attach(self, trace: TraceBus) -> "StreamingTraceSink":
-        if self._trace is not None:
-            raise RuntimeError("sink is already attached")
-        if self._closed:
-            raise RuntimeError("sink is closed")
-        self._trace = trace
-        trace.subscribe(None, self._on_record)
-        return self
-
-    def detach(self) -> None:
-        if self._trace is not None:
-            self._trace.unsubscribe(None, self._on_record)
-            self._trace = None
-
-    @contextmanager
-    def attached(self, trace: TraceBus) -> Iterator["StreamingTraceSink"]:
-        """Scoped attach: detaches (but does not close) on exit."""
-        self.attach(trace)
-        try:
-            yield self
-        finally:
-            self.detach()
-
-    def __enter__(self) -> "StreamingTraceSink":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.detach()
-        self.close()
-
-    # -- record flow ----------------------------------------------------
-    def _on_record(self, rec: TraceRecord) -> None:
+    def write(self, line: str) -> None:
         buf = self._buffer
-        buf.append(record_to_line(rec))
+        buf.append(line)
         self.count += 1
         if len(buf) >= self.window:
             self.flush()
@@ -161,44 +112,47 @@ class StreamingTraceSink:
 
     def close(self) -> None:
         """Flush the tail window and close the file (idempotent)."""
-        if not self._closed:
-            self.detach()
+        if not self._fh.closed:
             self.flush()
             self._fh.close()
-            self._closed = True
+
+    def __enter__(self) -> "JsonlWriter":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
 
-def read_trace_lines(path: str) -> List[str]:
-    """Canonical lines from a JSONL file, transparently gunzipping."""
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
-
-
-def write_trace_lines(path: str, lines, window: int = 4096) -> int:
-    """Write pre-serialized canonical lines to ``path`` in windows.
-
-    The file-format twin of :class:`StreamingTraceSink` for producers
-    that already hold lines rather than a live bus — the sharded merge,
-    chiefly.  ``lines`` may be any iterable; at most ``window`` lines
-    are buffered.  Returns the line count.
-    """
-    if path.endswith(".gz"):
-        fh = gzip.GzipFile(path, "wb", mtime=0)
-    else:
-        fh = open(path, "wb")
-    n = 0
-    buf: List[str] = []
-    with fh:
+def write_lines(path: str, lines: Iterable[str], window: int = 4096) -> int:
+    """Write ``lines`` through a :class:`JsonlWriter`; returns the count."""
+    with JsonlWriter(path, window) as writer:
         for line in lines:
-            buf.append(line)
-            n += 1
-            if len(buf) >= window:
-                fh.write("".join(l + "\n" for l in buf).encode("utf-8"))
-                buf.clear()
-        if buf:
-            fh.write("".join(l + "\n" for l in buf).encode("utf-8"))
-    return n
+            writer.write(line)
+    return writer.count
+
+
+def read_lines(path: str,
+               decode: Optional[Callable[[str], Any]] = None) -> List[Any]:
+    """Every non-blank line of a JSONL file (``.gz`` transparent),
+    passed through ``decode`` when given (``json.loads``,
+    :func:`line_to_record`, ...).  Bad input raises :class:`ValueError`
+    naming the file, and the 1-based line for an undecodable one.
+    """
+    out: List[Any] = []
+    try:
+        with (gzip.open if path.endswith(".gz") else open)(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if line:
+                        out.append(line if decode is None else decode(line))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed line "
+                                     f"({type(exc).__name__}: {exc})") from exc
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise ValueError(f"{path}: truncated or corrupt gzip stream "
+                         f"({exc})") from exc
+    return out
 
 
 class TraceBus:

@@ -75,8 +75,7 @@ def cmd_record(args: argparse.Namespace) -> int:
     from repro.validation.record import record_spec
 
     spec = spec_for_args(args)
-    rec = record_spec(spec)
-    rec.write(args.out)
+    rec = record_spec(spec, stream_path=args.out)
     print(f"recorded {rec.count} trace records to {args.out}")
     return 0
 
@@ -142,11 +141,11 @@ def make_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="dotted-path spec override, repeatable")
     p_rec.add_argument("--out", required=True, metavar="FILE",
-                       help="JSONL output path")
+                       help="JSONL output path (gzipped if it ends in .gz)")
     p_rec.set_defaults(fn=cmd_record)
 
     p_rep = sub.add_parser("replay", help="replay a trace through monitors")
-    p_rep.add_argument("file", help="JSONL trace stream")
+    p_rep.add_argument("file", help="JSONL(.gz) trace stream")
     # Validated choices: a typo here would silently select the reduced
     # (orderless) monitor set and report a dirty trace as clean.
     from repro.experiments.spec import SYSTEMS
@@ -165,6 +164,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except OSError as exc:
+        print(f"error: {exc.strerror or exc}: {exc.filename}"
+              if exc.filename else f"error: {exc}", file=sys.stderr)
+        return 2
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2

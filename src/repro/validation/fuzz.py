@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional
 from repro.faults.plan import (Degrade, FaultPlan, Flap, LossBurst,
                                Partition)
 from repro.sim.rand import derive_seed
+from repro.sim.trace import write_lines
 from repro.validation.monitors import DEFAULT_RECOVERY_WINDOW_MS
 from repro.validation.suite import CheckResult, check_spec, standard_suite
 
@@ -303,6 +304,5 @@ def _save_failure(dirpath: str, spec, result: CheckResult) -> None:
     base = os.path.join(dirpath, spec.name)
     with open(base + ".spec.json", "w", encoding="utf-8") as fh:
         fh.write(spec.to_json() + "\n")
-    if result.trace_jsonl is not None:
-        with open(base + ".trace.jsonl", "w", encoding="utf-8") as fh:
-            fh.write(result.trace_jsonl)
+    if result.trace_lines is not None:
+        write_lines(base + ".trace.jsonl", result.trace_lines)

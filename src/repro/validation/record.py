@@ -13,34 +13,35 @@ JSONL — one canonical, sorted-key JSON object per record — so that
   (:func:`first_divergence`), pinpointing where a refactor changed
   behaviour.
 
-Canonical form: attribute tuples serialize as JSON arrays and load back
-as tuples (the trace vocabulary uses tuples — e.g. ``token_id`` — and
-never semantically distinguishes list from tuple), keys sort, floats use
-``repr`` round-tripping via the stdlib ``json`` module.
+Canonical form and file framing live in :mod:`repro.sim.trace`
+(:func:`~repro.sim.trace.record_to_line`, the JSONL(.gz) codec);
+:class:`TraceRecorder` is the one bus recorder — it keeps a run's lines
+in memory or streams them to a path.
 """
 
 from __future__ import annotations
 
-import gzip
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence, TextIO, Union
+from typing import Any, Iterable, List, Optional, Sequence, Union
 
-# The canonical (de)serialization lives beside the bus in
-# ``repro.sim.trace`` (shared with the streaming sink and the shard
-# merge); re-exported here because this module is its historical home.
-from repro.sim.trace import (StreamingTraceSink, TraceBus, TraceRecord,
-                             _canonical, line_to_record, read_trace_lines,
-                             record_to_line)
+from repro.sim.trace import (JsonlWriter, TraceBus, TraceRecord,
+                             line_to_record, read_lines, record_to_line,
+                             write_lines)
 
 
 # ----------------------------------------------------------------------
 # Online recorder
 # ----------------------------------------------------------------------
 class TraceRecorder:
-    """Subscribe to every record on a bus and keep the canonical lines.
+    """Subscribe to every record on a bus and keep its canonical lines.
 
-    Use as a context manager (detaches on exit), or via
-    :meth:`attach` / :meth:`detach` directly::
+    By default the lines stay in memory (:attr:`lines`).  Given ``path``
+    they stream instead through a :class:`~repro.sim.trace.JsonlWriter`
+    (at most ``window`` lines buffered, ``.gz`` honoured) and
+    :attr:`lines` stays empty; the bytes are the same either way.
+
+    Use as a context manager (detaches, and closes a streamed file, on
+    exit), or via :meth:`attach` / :meth:`detach` / :meth:`close`::
 
         with TraceRecorder(sim.trace) as rec:
             scenario.run()
@@ -48,10 +49,12 @@ class TraceRecorder:
     """
 
     def __init__(self, trace: Optional[TraceBus] = None,
-                 sink: Optional[TextIO] = None):
+                 path: Optional[str] = None, window: int = 4096):
         self.lines: List[str] = []
         self.count = 0
-        self._sink = sink
+        self._writer = JsonlWriter(path, window) if path is not None else None
+        self._add = (self.lines.append if self._writer is None
+                     else self._writer.write)
         self._trace: Optional[TraceBus] = None
         if trace is not None:
             self.attach(trace)
@@ -68,29 +71,25 @@ class TraceRecorder:
             self._trace.unsubscribe(None, self._on_record)
             self._trace = None
 
+    def close(self) -> None:
+        """Detach and flush/close a streamed file (idempotent)."""
+        self.detach()
+        if self._writer is not None:
+            self._writer.close()
+
     def __enter__(self) -> "TraceRecorder":
         return self
 
     def __exit__(self, *exc: Any) -> None:
-        self.detach()
+        self.close()
 
     def _on_record(self, rec: TraceRecord) -> None:
-        line = record_to_line(rec)
+        self._add(record_to_line(rec))
         self.count += 1
-        if self._sink is not None:
-            self._sink.write(line + "\n")
-        else:
-            self.lines.append(line)
-
-    # ------------------------------------------------------------------
-    def to_jsonl(self) -> str:
-        """The full stream as one string (trailing newline included)."""
-        return "".join(line + "\n" for line in self.lines)
 
     def write(self, path: str) -> None:
-        """Write the buffered stream to ``path``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
+        """Write the in-memory stream to ``path`` (``.gz`` honoured)."""
+        write_lines(path, self.lines)
 
 
 # ----------------------------------------------------------------------
@@ -98,24 +97,12 @@ class TraceRecorder:
 # ----------------------------------------------------------------------
 def write_jsonl(path: str, records: Iterable[TraceRecord]) -> int:
     """Serialize ``records`` to ``path``; returns the record count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(record_to_line(rec) + "\n")
-            n += 1
-    return n
+    return write_lines(path, map(record_to_line, records))
 
 
 def read_jsonl(path: str) -> List[TraceRecord]:
     """Load a recorded stream back into memory (``.gz`` transparent)."""
-    opener = gzip.open if path.endswith(".gz") else open
-    out: List[TraceRecord] = []
-    with opener(path, "rt", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(line_to_record(line))
-    return out
+    return read_lines(path, line_to_record)
 
 
 def replay(records: Sequence[TraceRecord], monitors: Iterable,
@@ -189,32 +176,23 @@ def first_divergence(
 # Convenience: record a spec's full run
 # ----------------------------------------------------------------------
 def record_spec(spec, stream_path: Optional[str] = None,
-                window: int = 4096):
+                window: int = 4096) -> TraceRecorder:
     """Build and run ``spec``, recording the complete trace stream.
 
     Uses :func:`repro.validation.suite.observed_scenario`, so the
     recorder attaches before construction and build-time records
     (initial MH joins) are part of the stream.
 
-    With the default ``stream_path=None`` the whole stream is held in
-    memory: returns the detached :class:`TraceRecorder` (``.lines`` /
-    ``.to_jsonl()``).  Given a path, the stream is instead written
-    incrementally through a :class:`~repro.sim.trace.StreamingTraceSink`
-    (``.gz`` compressed when the path says so) and the closed sink is
-    returned — read the lines back with
-    :func:`~repro.sim.trace.read_trace_lines`.  Both paths serialize
-    through :func:`record_to_line`, so the bytes are identical.
+    Returns the closed :class:`TraceRecorder`: with the default
+    ``stream_path=None`` its ``.lines`` hold the whole stream; given a
+    path the stream is written there instead, ``window`` lines at a
+    time (read it back with :func:`~repro.sim.trace.read_lines`).
     """
     from repro.validation.suite import observed_scenario
-    if stream_path is None:
-        rec = TraceRecorder()
+    rec = TraceRecorder(path=stream_path, window=window)
+    try:
         with observed_scenario(spec, rec) as scenario:
             scenario.run()
-        return rec
-    sink = StreamingTraceSink(stream_path, window=window)
-    try:
-        with observed_scenario(spec, sink) as scenario:
-            scenario.run()
     finally:
-        sink.close()
-    return sink
+        rec.close()
+    return rec

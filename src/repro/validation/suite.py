@@ -115,7 +115,7 @@ class CheckResult:
     deliveries: int = 0
     violations: List[str] = field(default_factory=list)
     reports: Dict[str, Any] = field(default_factory=dict)
-    trace_jsonl: Optional[str] = None
+    trace_lines: Optional[List[str]] = None
 
     @property
     def ok(self) -> bool:
@@ -159,5 +159,5 @@ def check_spec(spec, *, record_trace: bool = False,
         deliveries=scenario.net.total_app_deliveries(),
         violations=suite.all_violations(),
         reports=suite.report(),
-        trace_jsonl=recorder.to_jsonl() if recorder is not None else None,
+        trace_lines=recorder.lines if recorder is not None else None,
     )

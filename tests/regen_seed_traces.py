@@ -9,7 +9,6 @@ Recording parameters live in ``tests/test_trace_identity.py`` so the
 regenerator and the checker can never drift apart.
 """
 
-import gzip
 import os
 import sys
 
@@ -18,6 +17,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from test_trace_identity import TRACE_DIR, record  # noqa: E402
 
 from repro.experiments import registry  # noqa: E402
+from repro.sim.trace import write_lines  # noqa: E402
 
 
 def main() -> int:
@@ -25,9 +25,8 @@ def main() -> int:
     for name in registry.names():
         rec = record(name)
         path = os.path.join(TRACE_DIR, f"{name}.jsonl.gz")
-        # mtime=0 keeps the archives byte-stable across regenerations.
-        with gzip.GzipFile(path, "wb", mtime=0) as fh:
-            fh.write(rec.to_jsonl().encode("utf-8"))
+        # The codec gzips with mtime=0: byte-stable across regenerations.
+        write_lines(path, rec.lines)
         print(f"{name}: {rec.count} records -> {path}")
     return 0
 

@@ -1,10 +1,12 @@
 """Unit tests for repro.obs: registry, profiler, session lifecycle."""
 
-import io
-import json
 import gzip
+import io
+import itertools
+import json
 import math
 import os
+import time
 
 import pytest
 
@@ -16,7 +18,7 @@ from repro.obs.profiler import (DispatchProfiler, handler_ident, kind_of,
 from repro.obs.registry import (Counter, Gauge, Histogram, MetricsRegistry,
                                 diff_counts, merge_counter_dicts)
 from repro.obs.report import load_report, load_timeline
-from repro.obs.session import ObsSession
+from repro.obs.session import ObsSession, write_artifacts
 from repro.sim.engine import Simulator
 
 
@@ -267,6 +269,20 @@ def test_session_write_and_load_artifacts(tmp_path):
         json.load(fh)
     with gzip.open(paths["timeline"], "rt", encoding="utf-8") as fh:
         assert all(json.loads(line) for line in fh)
+
+
+def test_write_artifacts_timeline_bytes_are_stable(tmp_path, monkeypatch):
+    """Same rows -> same timeline bytes, whatever the wall clock says."""
+    clock = itertools.count(1_000_000.0, 1000.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    rows = [{"t_ms": 100.0 * i, "kinds": {"deliver": i}} for i in range(5)]
+    report = {"schema": "test", "name": "run"}
+    a = write_artifacts(report, rows, out_dir=str(tmp_path / "a"))
+    b = write_artifacts(report, rows, out_dir=str(tmp_path / "b"))
+    for key in ("report", "timeline"):
+        with open(a[key], "rb") as fa, open(b[key], "rb") as fb:
+            assert fa.read() == fb.read(), key
+    assert load_timeline(a["timeline"]) == rows
 
 
 def test_progress_heartbeat_writes_to_sink(monkeypatch):

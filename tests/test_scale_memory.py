@@ -3,8 +3,8 @@
 The xxl/metro rungs only fit in this container because a registered-but-
 never-materialized catchment member is a *count*, not an object (see
 ``RingNet.register_catchment``).  These tests pin that invariant with
-``tracemalloc`` at the real xxl shape, and prove the streaming trace
-sink is a lossless stand-in for in-memory recording (record -> stream ->
+``tracemalloc`` at the real xxl shape, and prove a streaming trace
+recorder is a lossless stand-in for in-memory recording (record -> stream ->
 replay round trip).
 """
 
@@ -16,8 +16,8 @@ import pytest
 from repro.bench.ladder import get_rung, node_counts, rung_spec
 from repro.experiments import registry
 from repro.experiments.runner import build_scenario
-from repro.validation.record import (line_to_record, read_trace_lines,
-                                     record_spec, record_to_line)
+from repro.sim.trace import line_to_record, read_lines, record_to_line
+from repro.validation.record import record_spec
 
 #: Allowed resident bytes per *idle* (never-materialized) catchment MH.
 #: The true cost is a share of one ``{ap_id: count}`` dict entry per AP
@@ -77,7 +77,7 @@ def test_xxl_per_idle_mh_bytes_stay_bounded():
 
 
 # ---------------------------------------------------------------------------
-# Streaming sink round trip
+# Streaming recorder round trip
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def roundtrip_spec():
@@ -86,16 +86,17 @@ def roundtrip_spec():
 
 
 def test_stream_round_trip_equals_in_memory(tmp_path, roundtrip_spec):
-    """record -> stream -> replay: the windowed JSONL.gz sink must be a
+    """record -> stream -> replay: the windowed JSONL.gz writer must be a
     byte-level stand-in for the in-memory recorder."""
     in_memory = record_spec(roundtrip_spec).lines
     assert in_memory, "spec produced no trace records"
 
     path = str(tmp_path / "trace.jsonl.gz")
-    sink = record_spec(roundtrip_spec, stream_path=path)
-    assert sink.count == len(in_memory)
+    rec = record_spec(roundtrip_spec, stream_path=path)
+    assert rec.count == len(in_memory)
+    assert rec.lines == []  # streamed to disk, not held
 
-    streamed = read_trace_lines(path)
+    streamed = read_lines(path)
     assert streamed == in_memory
 
     # Replay: parse every streamed line back into a TraceRecord and
@@ -105,9 +106,13 @@ def test_stream_round_trip_equals_in_memory(tmp_path, roundtrip_spec):
 
 
 def test_stream_uses_small_windows(tmp_path, roundtrip_spec):
-    """A tiny window (frequent gzip flushes) must not change content."""
-    big = str(tmp_path / "big.jsonl.gz")
-    small = str(tmp_path / "small.jsonl.gz")
-    record_spec(roundtrip_spec, stream_path=big)
-    record_spec(roundtrip_spec, stream_path=small, window=7)
-    assert read_trace_lines(small) == read_trace_lines(big)
+    """Neither the window (flush frequency) nor plain-vs-gzip framing
+    changes content: every combination reads back the in-memory lines."""
+    in_memory = record_spec(roundtrip_spec).lines
+    for suffix in (".jsonl", ".jsonl.gz"):
+        for window in (1, 7, 4096):
+            path = str(tmp_path / f"w{window}{suffix}")
+            record_spec(roundtrip_spec, stream_path=path, window=window)
+            with open(path, "rb") as fh:
+                assert (fh.read(2) == b"\x1f\x8b") == suffix.endswith(".gz")
+            assert read_lines(path) == in_memory, (suffix, window)

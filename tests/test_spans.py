@@ -18,7 +18,6 @@ profiler stride override.
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
 
@@ -29,10 +28,11 @@ from repro.obs.critpath import (STAGE_ORDER, chrome_trace, critpath_summary,
                                 dominant_stage, iter_deliveries,
                                 render_critpath, render_stage_delta,
                                 stage_delta, stage_means)
-from repro.obs.spans import (RATE_ENV, SpanCollector, SpanStreamWriter,
-                             assemble, completeness, default_rate,
-                             events_from_trace, read_span_events, sampled,
+from repro.obs.spans import (RATE_ENV, SpanCollector, assemble,
+                             completeness, default_rate, events_from_trace,
+                             read_span_events, sampled, span_to_line,
                              write_span_events)
+from repro.sim.trace import JsonlWriter, read_lines
 from repro.validation.record import TraceRecorder, first_divergence
 from repro.validation.suite import observed_scenario
 
@@ -56,9 +56,7 @@ def spec_for(name: str):
 
 
 def golden_lines(name: str):
-    path = os.path.join(TRACE_DIR, f"{name}.jsonl.gz")
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
+    return read_lines(os.path.join(TRACE_DIR, f"{name}.jsonl.gz"))
 
 
 def deliver_keys(lines):
@@ -219,13 +217,15 @@ class TestSpanStream:
         assert read_span_events(path) == self.EVENTS
 
     def test_plain_jsonl_and_small_window(self, tmp_path):
-        path = str(tmp_path / "spans.jsonl")
-        write_span_events(path, self.EVENTS * 10, window=3)
-        assert read_span_events(path) == self.EVENTS * 10
+        for suffix in (".jsonl", ".jsonl.gz"):
+            for window in (1, 3, 7, 4096):
+                path = str(tmp_path / f"spans{window}{suffix}")
+                write_span_events(path, self.EVENTS * 10, window=window)
+                assert read_span_events(path) == self.EVENTS * 10
 
     def test_deterministic_bytes(self, tmp_path):
-        # Same basename (gzip stores it in the header, like the trace
-        # sink), different runs: the bytes must match exactly.
+        # Same basename (gzip stores it in the header), different
+        # writes: the bytes must match exactly.
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         a = str(tmp_path / "a" / "spans.jsonl.gz")
@@ -237,9 +237,9 @@ class TestSpanStream:
 
     def test_writer_is_context_manager(self, tmp_path):
         path = str(tmp_path / "cm.jsonl.gz")
-        with SpanStreamWriter(path) as sink:
+        with JsonlWriter(path) as sink:
             for ev in self.EVENTS:
-                sink.write(ev)
+                sink.write(span_to_line(ev))
         assert read_span_events(path) == self.EVENTS
 
     def test_collector_streaming_sink(self, tmp_path):

@@ -15,12 +15,12 @@ never to make an optimization "pass"):
     PYTHONPATH=src python tests/regen_seed_traces.py
 """
 
-import gzip
 import os
 
 import pytest
 
 from repro.experiments import registry
+from repro.sim.trace import line_to_record, read_lines
 from repro.validation.record import first_divergence, record_spec, replay
 from repro.validation.suite import standard_suite
 
@@ -51,9 +51,7 @@ def record(name: str):
 
 
 def golden_lines(name: str):
-    path = os.path.join(TRACE_DIR, f"{name}.jsonl.gz")
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
+    return read_lines(os.path.join(TRACE_DIR, f"{name}.jsonl.gz"))
 
 
 def test_all_registry_scenarios_have_goldens():
@@ -74,27 +72,25 @@ def test_trace_byte_identical_to_seed(name):
 
 @pytest.mark.parametrize("name", registry.names())
 def test_streamed_trace_byte_identical_to_seed(name, tmp_path):
-    """The streaming sink writes exactly the lines the recorder keeps.
+    """A streaming recorder writes exactly the lines the in-memory one keeps.
 
     Same run as above but through ``record_spec(stream_path=...)`` — the
-    windowed gzip sink — then read back from disk.  A small window
+    windowed gzip writer — then read back from disk.  A small window
     forces many flush boundaries inside every scenario.
     """
-    from repro.sim.trace import read_trace_lines
-
     duration = DURATIONS.get(name, DEFAULT_DURATION)
     spec = registry.get(name)
     overrides = {"duration_ms": duration}
     if spec.warmup_ms >= duration:
         overrides["warmup_ms"] = duration / 2
     path = str(tmp_path / f"{name}.jsonl.gz")
-    sink = record_spec(spec.with_overrides(overrides), stream_path=path,
-                       window=256)
-    div = first_divergence(golden_lines(name), read_trace_lines(path))
+    rec = record_spec(spec.with_overrides(overrides), stream_path=path,
+                      window=256)
+    div = first_divergence(golden_lines(name), read_lines(path))
     assert div is None, (
         f"{name} streamed trace diverged from its seed-commit trace at "
         f"{div.describe()}")
-    assert sink.count == len(golden_lines(name))
+    assert rec.count == len(golden_lines(name))
 
 
 @pytest.mark.parametrize("shards", [2, 4])
@@ -107,13 +103,12 @@ def test_sharded_streamed_trace_byte_identical(shards, tmp_path):
     write-and-read-back path.
     """
     from repro.shard import record_sharded
-    from repro.sim.trace import read_trace_lines
 
     spec = registry.get("quickstart").with_overrides(
         {"duration_ms": DEFAULT_DURATION})
     path = str(tmp_path / "quickstart.jsonl.gz")
     lines = record_sharded(spec, shards, stream_path=path)
-    assert read_trace_lines(path) == lines
+    assert read_lines(path) == lines
     div = first_divergence(golden_lines("quickstart"), lines)
     assert div is None, div and div.describe()
 
@@ -173,8 +168,6 @@ def test_sharded_trace_byte_identical_at_eight_shards(name):
 
 def test_recorded_stream_replays_through_monitor_suite():
     """The golden streams stay consumable by the offline monitor path."""
-    from repro.validation.record import line_to_record
-
     records = [line_to_record(line) for line in golden_lines("quickstart")]
     suite = standard_suite("ringnet")
     replay(records, suite)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import registry
-from repro.sim.trace import TraceBus, TraceRecord
+from repro.sim.trace import TraceBus, TraceRecord, read_lines, write_lines
 from repro.validation.record import (
     TraceRecorder,
     first_divergence,
@@ -57,12 +57,23 @@ def test_recorder_captures_and_detaches():
 
 
 def test_recorder_file_roundtrip(tmp_path):
-    path = str(tmp_path / "trace.jsonl")
     records = [TraceRecord(float(i), "k", {"i": i}) for i in range(5)]
-    assert write_jsonl(path, records) == 5
-    back = read_jsonl(path)
-    assert [record_to_line(r) for r in back] \
-        == [record_to_line(r) for r in records]
+    bus = TraceBus()
+    with TraceRecorder(bus) as rec:
+        for r in records:
+            bus.emit(r.time, r.kind, **r.attrs)
+    for suffix in (".jsonl", ".jsonl.gz"):
+        path = str(tmp_path / f"trace{suffix}")
+        assert write_jsonl(path, records) == 5
+        back = read_jsonl(path)
+        assert [record_to_line(r) for r in back] \
+            == [record_to_line(r) for r in records]
+        # The recorder's own write honours the suffix the same way.
+        rec_path = str(tmp_path / f"rec{suffix}")
+        rec.write(rec_path)
+        with open(rec_path, "rb") as fh:
+            assert (fh.read(2) == b"\x1f\x8b") == suffix.endswith(".gz")
+        assert read_lines(rec_path) == rec.lines
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +124,7 @@ def test_replay_detaches_monitors_even_midstream():
 def test_same_seed_streams_identical_and_diff_clean():
     a = record_spec(_short())
     b = record_spec(_short())
-    assert a.to_jsonl() == b.to_jsonl()
+    assert a.lines == b.lines
     assert first_divergence(a.lines, b.lines) is None
 
 
@@ -149,3 +160,64 @@ def test_cli_record_replay_diff(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "identical" in out
     assert "no violations" in out
+
+
+def test_cli_gz_record_replay_diff_sequential_and_sharded(tmp_path, capsys):
+    """``.gz`` outputs are really gzipped, replay clean, and diff equal."""
+    from repro.shard.__main__ import main as shard_main
+    from repro.validation.__main__ import main
+
+    seq = str(tmp_path / "seq.jsonl.gz")
+    par = str(tmp_path / "par.jsonl.gz")
+    assert main(["record", "quickstart", "--duration", "1200",
+                 "--out", seq]) == 0
+    assert shard_main(["run", "quickstart", "--duration", "1200",
+                       "--shards", "2", "--record", par]) == 0
+    for path in (seq, par):
+        with open(path, "rb") as fh:
+            assert fh.read(2) == b"\x1f\x8b", f"{path} is not gzipped"
+        assert main(["replay", path]) == 0
+    capsys.readouterr()
+    assert main(["diff", seq, par]) == 0
+    assert "streams identical" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["truncated_gz", "malformed_line",
+                                  "missing_file"])
+def test_cli_bad_stream_input_exits_2_naming_the_file(tmp_path, capsys,
+                                                      case):
+    from repro.obs.__main__ import main as obs_main
+    from repro.shard.__main__ import main as shard_main
+    from repro.validation.__main__ import main
+
+    lines = [record_to_line(TraceRecord(float(i), "k", {"i": i}))
+             for i in range(6)]
+    if case == "truncated_gz":
+        path = str(tmp_path / "t.jsonl.gz")
+        write_lines(path, lines)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:len(data) // 2])
+    elif case == "malformed_line":
+        path = str(tmp_path / "t.jsonl")
+        lines[3] = '{"t" 3.0}'
+        write_lines(path, lines)
+    else:
+        path = str(tmp_path / "missing.jsonl")
+    clis = [(main, ["replay", path], path),
+            (main, ["diff", path, path], path),
+            (obs_main, ["spans", path], path)]
+    if case == "missing_file":
+        # The write side: an unwritable --record path, named likewise.
+        out = str(tmp_path / "no-such-dir" / "t.jsonl.gz")
+        clis.append((shard_main, ["run", "quickstart", "--duration", "300",
+                                  "--shards", "1", "--record", out], out))
+    for cli, argv, named in clis:
+        capsys.readouterr()
+        assert cli(argv) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert named in err[0], err
+        if case == "malformed_line":
+            assert f"{path}:4:" in err[0], err
